@@ -4,7 +4,9 @@
 For each (n_obs, seed) cell: observe a clustered subset of directions with
 measurement noise, fit the compared interpolators, and score median nMSE,
 median CSIM, and CSIM restricted to test directions more than 20 degrees
-from the nearest observation. Emits a long-format CSV ready for plotting.
+from the nearest observation. Every method is fitted as ``svfield fit``
+fits it with the README's fit config and ``--iterations`` steps. Emits a
+long-format CSV ready for plotting.
 """
 
 import argparse
@@ -14,45 +16,20 @@ import time
 
 import numpy as np
 
-from svfield import baselines
 from svfield.datagen import SceneConfig, add_noise, gen_sphere_scene, split_observed
 from svfield.geom import angular_distance
-from svfield.gpr import FitConfig, fit
 from svfield.metrics import csim_per_dir, nmse_per_freq
-from svfield.modelio import predict_grid
+from svfield.modelio import METHODS, predict_grid
 
-METHOD_CHOICES = ("gp-steerer", "gp-chmat", "krr", "sh", "nn", "nf", "nf-gw", "pcnn")
-
-
-def fit_method(method: str, train, seed: int, iterations: int):
-    if method == "gp-steerer":
-        cfg = FitConfig(iterations=iterations, pretrain_iterations=40, batch_size=384,
-                        eval_every=50, warmup_steps=100, seed=seed)
-        return fit(train, cfg)
-    if method == "gp-chmat":
-        return baselines.fit_gp_chmat(
-            train, FitConfig(iterations=max(iterations // 2, 50), pretrain_iterations=0,
-                             batch_size=512, eval_every=50, seed=seed)
-        )
-    if method == "krr":
-        return baselines.fit_krr(train, seed=seed)
-    if method == "sh":
-        return baselines.fit_sh_ridge(train, seed=seed)
-    if method == "nn":
-        return baselines.fit_nn(train, seed=seed)
-    cfg = FitConfig.nf_baseline_defaults(iterations=2 * iterations, seed=seed)
-    if method == "nf":
-        return baselines.nf_direct_fit(train, cfg)
-    if method == "nf-gw":
-        return baselines.nf_gw_fit(train, cfg)
-    return baselines.pcnn_fit(train, cfg)
+# the README's fit.json, less its step count, observation count and noise
+README_FIT = dict(pretrain_iterations=40, batch_size=384, eval_every=50, warmup_steps=100)
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results/sphere_benchmark")
     parser.add_argument("--methods", nargs="+", default=["gp-steerer", "nn", "sh"],
-                        choices=METHOD_CHOICES)
+                        choices=tuple(METHODS))
     parser.add_argument("--n-obs", type=int, nargs="+", default=[8, 16, 32])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     parser.add_argument("--noise-var", type=float, default=1e-4)
@@ -79,7 +56,9 @@ def main():
             far = dist > math.radians(20.0)
             for method in args.methods:
                 t0 = time.time()
-                model = fit_method(method, train, seed, args.iterations)
+                doc = dict(README_FIT, iterations=args.iterations, seed=seed)
+                spec = METHODS[method]
+                model = spec.fit(train, spec.config(doc), doc)
                 estimate = predict_grid(model, scene)
                 csim = csim_per_dir(scene.values, estimate)
                 rows.append(

@@ -1,8 +1,7 @@
 """Non-GP interpolators: nearest neighbor, SH ridge, kernel ridge, the
 chordal-Matern GP wiring, and the direct neural-field family (plain,
-geometry-warped, physics-constrained). All fitted models expose
-``predict_grid(dataset) -> (F, I, J)`` so the metrics are
-interpolator-agnostic.
+geometry-warped, physics-constrained). The fitted models are plain data;
+``modelio``'s method registry predicts with every kind.
 """
 
 from __future__ import annotations
@@ -19,10 +18,9 @@ from .gpr import (
     _run_steps,
     _stratified_cap,
     build_model,
-    predict,
     tree_digest,
 )
-from .kernels import ChmatKernelParams, chmat_cross, chmat_gram, source_angles
+from .kernels import ChmatKernelParams, chmat_gram, source_angles
 from .nfield import (
     AdamState,
     NfParams,
@@ -36,7 +34,7 @@ from .nfield import (
     nf_forward_cached,
 )
 from .physics import MediumParams, free_field_batch, geometric_warp_batch
-from .sphharm import sh_basis_angles, sh_basis_matrix, sh_ridge_fit
+from .sphharm import sh_basis_angles, sh_ridge_fit
 
 
 def _unit_rows(dirs) -> np.ndarray:
@@ -64,13 +62,6 @@ class NnModel:
 
     kind = "nn"
 
-    def predict_grid(self, dataset) -> np.ndarray:
-        _check_grid_compat(self, dataset)
-        units = _unit_rows(self.train_dirs)
-        q_units = _unit_rows(dataset.source_directions)
-        nearest = np.argmax(q_units @ units.T, axis=1)
-        return self.values[:, :, nearest]
-
 
 def fit_nn(dataset, seed: int = 0) -> NnModel:
     return NnModel(
@@ -94,11 +85,6 @@ class ShRidgeModel:
     config_digest: str = ""
 
     kind = "sh"
-
-    def predict_grid(self, dataset) -> np.ndarray:
-        _check_grid_compat(self, dataset)
-        basis = sh_basis_matrix(self.order, dataset.source_directions)
-        return np.einsum("fid,jd->fij", self.coeffs, basis)
 
 
 def fit_sh_ridge(dataset, order: int | None = None, lam: float = 1e-5, seed: int = 0) -> ShRidgeModel:
@@ -139,35 +125,28 @@ def krr_predict(alphas: np.ndarray, train: PointSet, cross_fn, query: PointSet) 
 
 
 @dataclass
+class KrrChannel:
+    """One channel's representer solution; ``gpr.predict`` serves its mean
+    (``alpha_vec`` plays the GP's (K + sigma^2 I)^{-1} y)."""
+
+    kernel: ChmatKernelParams
+    train: PointSet
+    alpha_vec: np.ndarray
+
+
+@dataclass
 class KrrModel:
     """Per-channel kernel ridge regression with the chordal-Matern kernel."""
 
     frequencies: np.ndarray
     mic_positions: np.ndarray
     train_dirs: list
-    kernels: list  # per-channel ChmatKernelParams
-    trains: list  # per-channel PointSet
-    alphas: list  # per-channel coefficient vectors
+    channels: list  # KrrChannel per channel
     lam: float
     seed: int = 0
     config_digest: str = ""
 
     kind = "krr"
-
-    def predict_grid(self, dataset) -> np.ndarray:
-        _check_mics_compat(self, dataset)
-        f_n, i_n, j_n = dataset.shape
-        out = np.empty((f_n, i_n, j_n), dtype=complex)
-        ps = dataset.point_set()
-        for i in range(i_n):
-            idx = _channel_indices(f_n, i_n, j_n, i)
-            sub = ps.take(idx)
-            kern = self.kernels[i]
-            mean = krr_predict(
-                self.alphas[i], self.trains[i], lambda q, t: chmat_cross(q, t, kern), sub
-            )
-            out[:, i, :] = mean.reshape(f_n, j_n)
-        return out
 
 
 def _channel_indices(f_n: int, i_n: int, j_n: int, i: int) -> np.ndarray:
@@ -196,24 +175,20 @@ def fit_krr(dataset, lam_rel: float = 1e-3, seed: int = 0) -> KrrModel:
     kernel's unit prior diagonal."""
     f_n, i_n, j_n = dataset.shape
     ps = dataset.point_set()
-    kernels, trains, alphas = [], [], []
+    channels = []
     for i in range(i_n):
         kern = _chmat_default_params(dataset, dataset.values[:, i, :])
         # unit prior diagonal so the relative lambda is absolute
         kern = replace(kern, log_alpha=2.0 * kern.log_ell)
-        idx = _channel_indices(f_n, i_n, j_n, i)
-        train = ps.take(idx)
+        train = ps.take(_channel_indices(f_n, i_n, j_n, i))
         y = dataset.values[:, i, :].reshape(-1)
-        alphas.append(krr_fit(train, y, lambda p: chmat_gram(p, kern, jitter=0.0), lam_rel))
-        kernels.append(kern)
-        trains.append(train)
+        alpha = krr_fit(train, y, lambda p: chmat_gram(p, kern, jitter=0.0), lam_rel)
+        channels.append(KrrChannel(kern, train, alpha))
     return KrrModel(
         frequencies=dataset.frequencies.copy(),
         mic_positions=dataset.mic_positions.copy(),
         train_dirs=list(dataset.source_directions),
-        kernels=kernels,
-        trains=trains,
-        alphas=alphas,
+        channels=channels,
         lam=lam_rel,
         seed=seed,
     )
@@ -232,17 +207,6 @@ class ChmatEnsemble:
     history: list = field(default_factory=list)
 
     kind = "gp-chmat"
-
-    def predict_grid(self, dataset) -> np.ndarray:
-        _check_mics_compat(self, dataset)
-        f_n, i_n, j_n = dataset.shape
-        out = np.empty((f_n, i_n, j_n), dtype=complex)
-        ps = dataset.point_set()
-        for i in range(i_n):
-            idx = _channel_indices(f_n, i_n, j_n, i)
-            mean, _ = predict(self.channels[i], ps.take(idx), want_var=False)
-            out[:, i, :] = mean.reshape(f_n, j_n)
-        return out
 
 
 def fit_gp_chmat(dataset, cfg: FitConfig) -> ChmatEnsemble:
@@ -327,21 +291,8 @@ class NfFieldModel:
     history: list = field(default_factory=list)
 
     def predict_points(self, ps: PointSet) -> np.ndarray:
-        out = nf_forward(self.nf, ps.as_matrix(), self.bounds)
-        if self.kind == "nf":
-            return out[:, 0]
-        if self.kind == "nf-gw":
-            warp = geometric_warp_batch(ps.omega, ps.mic, ps.src, self.reference, self.medium)
-            return warp * out[:, 0]
-        hd = free_field_batch(ps.omega, ps.mic, ps.src, self.medium)
-        az, col = source_angles(ps, self.q0)
-        basis = sh_basis_angles(self.order, az, col)
-        return hd * np.sum(out * basis, axis=1)
-
-    def predict_grid(self, dataset) -> np.ndarray:
-        _check_mics_compat(self, dataset)
-        mean = self.predict_points(dataset.point_set())
-        return mean.reshape(dataset.shape)
+        prepare, value, _ = _nf_decoder(self.kind, self.q0, self.reference, self.order, self.medium)
+        return value(ps, nf_forward(self.nf, ps.as_matrix(), self.bounds), prepare(ps))
 
 
 def _nf_decoder(kind: str, q0, reference, order, medium):
@@ -432,6 +383,7 @@ def _fit_pointwise(dataset, cfg: FitConfig, kind: str, reference=None, order=Non
 
     best_tree = {k: v.copy() for k, v in tree.items()}
     best_val = math.inf
+    improved = False
     track = va_idx.size > 0
 
     def validate(tree_now):
@@ -454,7 +406,14 @@ def _fit_pointwise(dataset, cfg: FitConfig, kind: str, reference=None, order=Non
             if track and val < best_val:
                 best_val = val
                 best_tree = {k: v.copy() for k, v in tree.items()}
+                improved = True
     if track:
+        if cfg.iterations > 0 and not improved:
+            # the step-0 checkpoint is the zero-head network, which predicts zero
+            raise NumericError(
+                f"{kind}: no evaluation in {cfg.iterations} steps improved on the untrained "
+                f"network's validation loss {best_val:.6g}; train longer or raise the learning rate"
+            )
         tree = best_tree
 
     return NfFieldModel(
@@ -487,18 +446,3 @@ def nf_gw_fit(dataset, cfg: FitConfig, reference=None) -> NfFieldModel:
 def pcnn_fit(dataset, cfg: FitConfig, order: int | None = None) -> NfFieldModel:
     """Free field times a network-coefficient SH expansion, trained pointwise."""
     return _fit_pointwise(dataset, cfg, "pcnn", order=order)
-
-
-def _check_mics_compat(model, dataset):
-    if dataset.mic_positions.shape != model.mic_positions.shape or not np.allclose(
-        dataset.mic_positions, model.mic_positions, atol=1e-9
-    ):
-        raise ValueError("dataset microphone layout differs from the fitted model")
-
-
-def _check_grid_compat(model, dataset):
-    _check_mics_compat(model, dataset)
-    if dataset.frequencies.shape != model.frequencies.shape or not np.allclose(
-        dataset.frequencies, model.frequencies, rtol=0, atol=1e-9
-    ):
-        raise ValueError("dataset frequency grid differs from the fitted model")

@@ -16,11 +16,9 @@ import sys
 
 import numpy as np
 
-from . import baselines, beamform, datagen, gpr, metrics, modelio
+from . import baselines, beamform, datagen, metrics, modelio
 from .errors import NumericError, SchemaError
 from .geom import Direction, angular_distance
-
-METHODS = ("gp-steerer", "gp-chmat", "krr", "sh", "nn", "nf", "nf-gw", "pcnn")
 
 
 def _load_json(path: str, what: str) -> dict:
@@ -81,31 +79,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _fit_config(doc: dict, method: str) -> gpr.FitConfig:
-    keys = {
-        "iterations", "batch_size", "lr_start", "lr_base", "lr_floor", "warmup_steps",
-        "decay_rate", "decay_every", "lambda_l1", "lambda_exp", "pretrain_iterations",
-        "pretrain_factor", "predict_cap", "valid_fraction", "eval_every", "seed",
-        "sh_order", "encoding_dim", "hidden_widths", "gains", "scalar_lr_scale",
-        "sh_ridge_lambda", "jitter", "grad_clip",
-    }
-    opts = {k: v for k, v in doc.items() if k in keys}
-    if "hidden_widths" in opts:
-        opts["hidden_widths"] = tuple(opts["hidden_widths"])
-    if "gains" in opts:
-        opts["gains"] = tuple(opts["gains"])
-    try:
-        if method in ("nf", "nf-gw", "pcnn"):
-            return gpr.FitConfig.nf_baseline_defaults(**opts)
-        if method == "gp-chmat":
-            opts.setdefault("iterations", 150)
-            opts.setdefault("pretrain_iterations", 0)
-            return gpr.FitConfig(**opts)
-        return gpr.FitConfig(**opts)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"fit config: {exc}") from exc
-
-
 def cmd_fit(args) -> int:
     doc = _load_json(args.config, "fit config") if args.config else {}
     method = args.method
@@ -124,25 +97,12 @@ def cmd_fit(args) -> int:
     if noise_var > 0:
         train = datagen.add_noise(train, noise_var, seed=seed)
 
-    cfg = _fit_config(doc, method)
-    if method == "gp-steerer":
-        model = gpr.fit(train, cfg)
-    elif method == "gp-chmat":
-        model = baselines.fit_gp_chmat(train, cfg)
-    elif method == "krr":
-        model = baselines.fit_krr(train, lam_rel=float(doc.get("krr_lambda", 1e-3)), seed=seed)
-    elif method == "sh":
-        model = baselines.fit_sh_ridge(
-            train, order=doc.get("sh_order"), lam=float(doc.get("sh_lambda", 1e-5)), seed=seed
-        )
-    elif method == "nn":
-        model = baselines.fit_nn(train, seed=seed)
-    elif method == "nf":
-        model = baselines.nf_direct_fit(train, cfg)
-    elif method == "nf-gw":
-        model = baselines.nf_gw_fit(train, cfg)
-    else:
-        model = baselines.pcnn_fit(train, cfg)
+    spec = modelio.METHODS[method]
+    try:
+        cfg = spec.config(doc)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"fit config: {exc}") from exc
+    model = spec.fit(train, cfg, doc)
 
     digest = modelio.save_model(model, args.out)
     history = getattr(model, "history", [])
@@ -186,7 +146,6 @@ def cmd_evaluate(args) -> int:
     ds = datagen.read_dataset(args.dataset)
     model = modelio.load_model(args.model)
     try:
-        modelio.check_compatible(model, ds)
         estimate = modelio.predict_grid(model, ds)
     except ValueError as exc:
         raise SchemaError(f"model and dataset are incompatible: {exc}") from exc
@@ -320,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit an interpolator to observed directions")
     p_fit.add_argument("--dataset", required=True)
-    p_fit.add_argument("--method", required=True, choices=METHODS)
+    p_fit.add_argument("--method", required=True, choices=tuple(modelio.METHODS))
     p_fit.add_argument("--config")
     p_fit.add_argument("--out", required=True)
     p_fit.add_argument("--n-obs", type=int, default=None)

@@ -83,15 +83,7 @@ class FitConfig:
     @staticmethod
     def nf_baseline_defaults(**overrides) -> "FitConfig":
         """Architecture and schedule used by the direct neural-field baselines."""
-        base = dict(
-            hidden_widths=(128, 128, 128),
-            gains=(10.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0),
-            lr_start=1e-4,
-            lr_base=1e-5,
-            warmup_steps=1000,
-        )
-        base.update(overrides)
-        return FitConfig(**base)
+        return FitConfig(**{**NF_BASELINE_DEFAULTS, **overrides})
 
     def lr_config(self) -> LrSchedule:
         return LrSchedule(
@@ -103,6 +95,14 @@ class FitConfig:
             decay_every=self.decay_every,
         )
 
+
+NF_BASELINE_DEFAULTS = dict(
+    hidden_widths=(128, 128, 128),
+    gains=(10.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0),
+    lr_start=1e-4,
+    lr_base=1e-5,
+    warmup_steps=1000,
+)
 
 SCALAR_KEYS = ("log_alpha", "log_ell", "log_ell_d", "log_noise")
 
@@ -694,39 +694,3 @@ def oracle_params_from_scene(dataset, noise_var: float | None = None) -> Composi
         table=table,
         medium=dataset.medium,
     )
-
-
-def pretrain(model: GprModel, dataset, cfg: FitConfig) -> GprModel:
-    """Run only the SH-augmented pretraining phase starting from a model."""
-    if cfg.pretrain_iterations == 0:
-        return model
-    if not isinstance(model.kernel, CompositeKernelParams):
-        raise ValueError("pretraining applies to the composite kernel")
-    rng = np.random.default_rng(cfg.seed)
-    f_n = dataset.frequencies.shape[0]
-    i_n = dataset.mic_positions.shape[0]
-    j_n = len(dataset.source_directions)
-    ps_all = dataset.point_set()
-    y_all = dataset.values.reshape(-1)
-    if f_n >= 2:
-        tr_idx, _ = validation_split(
-            np.arange(f_n * i_n * j_n), (f_n, i_n, j_n), cfg.valid_fraction, cfg.seed
-        )
-    else:
-        tr_idx = np.arange(f_n * i_n * j_n)
-    aug_dirs, aug_values = synthesize_augmented(dataset, cfg.pretrain_factor, cfg.sh_ridge_lambda)
-    aug_ps, aug_y = _augmented_points(dataset, aug_dirs, aug_values)
-    ps_tr = ps_all.take(tr_idx)
-    pool_ps = PointSet(
-        np.concatenate([ps_tr.omega, aug_ps.omega]),
-        np.concatenate([ps_tr.mic, aug_ps.mic]),
-        np.concatenate([ps_tr.src, aug_ps.src]),
-    )
-    pool_y = np.concatenate([y_all[tr_idx], aug_y])
-    tree = model.kernel.to_tree()
-    opt = AdamState.for_params(tree)
-    tree, _ = _run_steps(
-        tree, opt, model.kernel, pool_ps, pool_y, cfg, rng, cfg.pretrain_iterations, 0,
-        None, None, None,
-    )
-    return model.with_kernel(model.kernel.with_tree(tree))

@@ -1,6 +1,13 @@
-"""One JSON envelope for every fitted predictor, with a `kind`
-discriminator, plus prediction helpers that make the model zoo
-interchangeable for evaluation and beamforming.
+"""The method registry and the model file format.
+
+``METHODS`` holds one ``Method`` per model kind: how it is fitted from a
+config document, how its payload is written and read inside the JSON
+envelope (whose ``kind`` names the entry), how it predicts at directions
+on a dataset's frequencies, and which datasets it can serve. The CLI and
+the scripts read the registry, so a method is added by one entry here.
+Entries reach the fit and predict functions through their modules at call
+time, so a wrapper installed on e.g. ``baselines.fit_krr`` or
+``gpr.predict`` sees every call.
 """
 
 from __future__ import annotations
@@ -9,20 +16,49 @@ import gzip
 import hashlib
 import json
 import math
+from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
-from .baselines import ChmatEnsemble, KrrModel, NfFieldModel, NnModel, ShRidgeModel
+from . import baselines, gpr
+from .baselines import ChmatEnsemble, KrrChannel, KrrModel, NfFieldModel, NnModel, ShRidgeModel, _channel_indices
 from .errors import SchemaError
 from .geom import Direction, PointSet, cart_to_sph, sph_to_cart
-from .gpr import GprModel, build_model, predict
-from .kernels import ChmatKernelParams, CoeffTable, CompositeKernelParams, chmat_cross
+from .gpr import NF_BASELINE_DEFAULTS, SCALAR_KEYS, FitConfig, build_model, predict
+from .kernels import ChmatKernelParams, CoeffTable, CompositeKernelParams
 from .nfield import NfParams
 from .physics import MediumParams
+from .sphharm import sh_basis_matrix
 
 MODEL_SCHEMA_VERSION = 1
 
-KNOWN_KINDS = ("gp-steerer", "gp-chmat", "krr", "sh", "nn", "nf", "nf-gw", "pcnn")
+FIT_KEYS = frozenset(f.name for f in fields(FitConfig))
+STEERER_SCALARS = ("log_alpha", "log_ell", "log_noise")
+
+
+@dataclass(frozen=True)
+class Method:
+    """One model kind: fit, payload, prediction and compatibility rule."""
+
+    name: str
+    fit: Callable  # (train dataset, FitConfig, config document) -> model
+    write: Callable  # model -> payload dict
+    read: Callable  # (payload, envelope fields) -> model
+    predict: Callable  # (model, dataset, directions, frequency indices) -> (Fq, I, Jd)
+    defaults: dict = field(default_factory=dict)  # FitConfig values a config may override
+    mic_order: bool = False  # channel-indexed: the same mic rows in the same order
+    freq_grid: bool = False  # grid-bound: also the same frequency grid
+    train_dirs: Callable = lambda model: list(model.train_dirs)
+    mic_positions: Callable = lambda model: np.asarray(model.mic_positions)
+
+    def config(self, doc: dict) -> FitConfig:
+        """The FitConfig a config document asks for, over this method's defaults."""
+        opts = {k: v for k, v in doc.items() if k in FIT_KEYS}
+        for key in ("hidden_widths", "gains"):
+            if key in opts:
+                opts[key] = tuple(opts[key])
+        return FitConfig(**{**self.defaults, **opts})
 
 
 def _real(arr) -> dict:
@@ -86,6 +122,14 @@ def _points_in(doc) -> PointSet:
     return PointSet(_load_real(doc["omega"]), _load_real(doc["mic"]), _load_real(doc["src"]))
 
 
+def _bounds_out(bounds) -> dict:
+    return {"lo": _real(bounds[0]), "hi": _real(bounds[1])}
+
+
+def _bounds_in(doc) -> tuple:
+    return (_load_real(doc["lo"]), _load_real(doc["hi"]))
+
+
 def _table_out(table: CoeffTable | None):
     if table is None:
         return None
@@ -108,187 +152,321 @@ def _table_in(doc) -> CoeffTable | None:
     )
 
 
-def train_directions(model) -> list:
-    """Observed source directions retained by any fitted model."""
-    if isinstance(model, GprModel):
-        q0 = model.kernel.q0 if hasattr(model.kernel, "q0") else np.zeros(3)
-        uniq = np.unique(np.round(model.train.src, 12), axis=0)
-        return [cart_to_sph(row - q0)[0] for row in uniq]
-    return list(model.train_dirs)
+def _scalars_in(doc, keys) -> dict:
+    return {k: float(doc["scalars"][k]) for k in keys}
 
 
-def model_mic_positions(model) -> np.ndarray:
-    """The microphone layout a fitted model was trained on."""
-    if isinstance(model, GprModel):
-        if isinstance(model.kernel, CompositeKernelParams) and model.kernel.table is not None:
-            return model.kernel.table.mic_positions
-        return np.unique(np.round(model.train.mic, 12), axis=0)
-    return np.asarray(model.mic_positions)
-
-
-def check_compatible(model, dataset) -> None:
-    """Raise when the dataset's array geometry differs from the model's."""
-    mics = model_mic_positions(model)
-    ds_mics = dataset.mic_positions
-    if mics.shape != ds_mics.shape or not np.allclose(np.sort(mics, axis=0), np.sort(ds_mics, axis=0), atol=1e-9):
-        raise ValueError(
-            f"model was fitted on {mics.shape[0]} microphone(s) at different positions "
-            f"than the dataset's {ds_mics.shape[0]}"
-        )
-
-
-def _gp_steerer_out(model: GprModel) -> dict:
-    k: CompositeKernelParams = model.kernel
+def _chmat_kernel_out(k: ChmatKernelParams) -> dict:
     return {
-        "scalars": {
-            "log_alpha": float(k.log_alpha),
-            "log_ell": float(k.log_ell),
-            "log_noise": float(k.log_noise),
-        },
-        "sh_order": int(k.sh_order),
+        "scalars": {key: float(getattr(k, key)) for key in SCALAR_KEYS},
         "q0": _real(k.q0),
-        "bounds": {"lo": _real(k.bounds[0]), "hi": _real(k.bounds[1])},
-        "table": _table_out(k.table),
-        "nf": _nf_out(k.nf),
         "speed_of_sound": float(k.medium.speed_of_sound),
+    }
+
+
+def _chmat_kernel_in(doc) -> ChmatKernelParams:
+    return ChmatKernelParams(
+        **_scalars_in(doc, SCALAR_KEYS),
+        q0=_load_real(doc["q0"]),
+        medium=MediumParams(float(doc["speed_of_sound"])),
+    )
+
+
+def _gp_data_out(model) -> dict:
+    """A GP's conditioning set; loading refactors it with ``build_model``."""
+    return {
         "train": _points_out(model.train),
         "train_values": _cplx(model.y),
         "jitter": model.jitter,
         "predict_cap": int(model.predict_cap),
+    }
+
+
+def _gp_in(kind: str, kernel, doc, **extra):
+    return build_model(
+        kind,
+        kernel,
+        _points_in(doc["train"]),
+        _load_cplx(doc["train_values"]),
+        jitter=doc["jitter"],
+        predict_cap=int(doc["predict_cap"]),
+        **extra,
+    )
+
+
+def _layout_out(model) -> dict:
+    return {"frequencies": _real(model.frequencies), "mic_positions": _real(model.mic_positions)}
+
+
+def _layout_in(doc) -> dict:
+    return {
+        "frequencies": _load_real(doc["frequencies"]),
+        "mic_positions": _load_real(doc["mic_positions"]),
+    }
+
+
+# ------------------------------------------------------------------ payloads
+# Readers take the payload and the envelope fields ``train_dirs``, ``seed``
+# and ``config_digest``.
+
+
+def _gp_steerer_out(model) -> dict:
+    k: CompositeKernelParams = model.kernel
+    return {
+        "scalars": {key: float(getattr(k, key)) for key in STEERER_SCALARS},
+        "sh_order": int(k.sh_order),
+        "q0": _real(k.q0),
+        "bounds": _bounds_out(k.bounds),
+        "table": _table_out(k.table),
+        "nf": _nf_out(k.nf),
+        "speed_of_sound": float(k.medium.speed_of_sound),
+        **_gp_data_out(model),
         "history": model.history,
     }
 
 
-def _gp_steerer_in(doc, seed, digest) -> GprModel:
+def _gp_steerer_in(doc, env):
     kernel = CompositeKernelParams(
-        log_alpha=float(doc["scalars"]["log_alpha"]),
-        log_ell=float(doc["scalars"]["log_ell"]),
-        log_noise=float(doc["scalars"]["log_noise"]),
+        **_scalars_in(doc, STEERER_SCALARS),
         sh_order=int(doc["sh_order"]),
         nf=_nf_in(doc["nf"]),
         q0=_load_real(doc["q0"]),
-        bounds=(_load_real(doc["bounds"]["lo"]), _load_real(doc["bounds"]["hi"])),
+        bounds=_bounds_in(doc["bounds"]),
         table=_table_in(doc["table"]),
         medium=MediumParams(float(doc["speed_of_sound"])),
     )
-    return build_model(
-        "gp-steerer",
-        kernel,
-        _points_in(doc["train"]),
-        _load_cplx(doc["train_values"]),
-        jitter=doc["jitter"],
-        predict_cap=int(doc["predict_cap"]),
-        seed=seed,
-        config_digest=digest,
+    return _gp_in("gp-steerer", kernel, doc, seed=env["seed"], config_digest=env["config_digest"],
+                  history=doc.get("history", []))
+
+
+def _chmat_out(model: ChmatEnsemble) -> dict:
+    return {
+        **_layout_out(model),
+        "channels": [{**_chmat_kernel_out(ch.kernel), **_gp_data_out(ch)} for ch in model.channels],
+        "history": model.history,
+    }
+
+
+def _chmat_in(doc, env) -> ChmatEnsemble:
+    channels = [_gp_in("gp-chmat-channel", _chmat_kernel_in(ch), ch, seed=env["seed"])
+                for ch in doc["channels"]]
+    return ChmatEnsemble(**_layout_in(doc), **env, channels=channels, history=doc.get("history", []))
+
+
+def _krr_out(model: KrrModel) -> dict:
+    return {
+        **_layout_out(model),
+        "lam": float(model.lam),
+        "channels": [
+            {**_chmat_kernel_out(ch.kernel), "train": _points_out(ch.train), "alphas": _cplx(ch.alpha_vec)}
+            for ch in model.channels
+        ],
+    }
+
+
+def _krr_in(doc, env) -> KrrModel:
+    channels = [KrrChannel(_chmat_kernel_in(ch), _points_in(ch["train"]), _load_cplx(ch["alphas"]))
+                for ch in doc["channels"]]
+    return KrrModel(**_layout_in(doc), **env, channels=channels, lam=float(doc["lam"]))
+
+
+def _sh_out(model: ShRidgeModel) -> dict:
+    return {**_layout_out(model), "order": int(model.order), "lam": float(model.lam),
+            "coeffs": _cplx(model.coeffs)}
+
+
+def _sh_in(doc, env) -> ShRidgeModel:
+    return ShRidgeModel(**_layout_in(doc), **env, order=int(doc["order"]), lam=float(doc["lam"]),
+                        coeffs=_load_cplx(doc["coeffs"]))
+
+
+def _nn_out(model: NnModel) -> dict:
+    return {**_layout_out(model), "values": _cplx(model.values)}
+
+
+def _nn_in(doc, env) -> NnModel:
+    return NnModel(**_layout_in(doc), **env, values=_load_cplx(doc["values"]))
+
+
+def _nf_model_out(model: NfFieldModel) -> dict:
+    return {
+        **_layout_out(model),
+        "nf": _nf_out(model.nf),
+        "bounds": _bounds_out(model.bounds),
+        "q0": _real(model.q0),
+        "reference": _real(model.reference),
+        "order": None if model.order is None else int(model.order),
+        "speed_of_sound": float(model.medium.speed_of_sound),
+        "history": model.history,
+    }
+
+
+def _nf_model_in(kind: str, doc, env) -> NfFieldModel:
+    return NfFieldModel(
+        kind=kind,
+        **_layout_in(doc),
+        **env,
+        nf=_nf_in(doc["nf"]),
+        bounds=_bounds_in(doc["bounds"]),
+        q0=_load_real(doc["q0"]),
+        reference=_load_real(doc["reference"]),
+        order=None if doc["order"] is None else int(doc["order"]),
+        medium=MediumParams(float(doc["speed_of_sound"])),
         history=doc.get("history", []),
     )
 
 
-def _chmat_channel_out(model: GprModel) -> dict:
-    k: ChmatKernelParams = model.kernel
-    return {
-        "scalars": {
-            "log_alpha": float(k.log_alpha),
-            "log_ell": float(k.log_ell),
-            "log_ell_d": float(k.log_ell_d),
-            "log_noise": float(k.log_noise),
-        },
-        "q0": _real(k.q0),
-        "speed_of_sound": float(k.medium.speed_of_sound),
-        "train": _points_out(model.train),
-        "train_values": _cplx(model.y),
-        "jitter": model.jitter,
-        "predict_cap": int(model.predict_cap),
-    }
+# ------------------------------------------------------------------ prediction
 
 
-def _chmat_channel_in(doc, seed) -> GprModel:
-    kernel = ChmatKernelParams(
-        log_alpha=float(doc["scalars"]["log_alpha"]),
-        log_ell=float(doc["scalars"]["log_ell"]),
-        log_ell_d=float(doc["scalars"]["log_ell_d"]),
-        log_noise=float(doc["scalars"]["log_noise"]),
-        q0=_load_real(doc["q0"]),
-        medium=MediumParams(float(doc["speed_of_sound"])),
+def _query_points(dataset, dirs, freq_indices) -> PointSet:
+    """Points in (frequency, mic, direction) order at the dataset's mics and radius."""
+    i_n, j_d = dataset.mic_positions.shape[0], len(dirs)
+    src = np.array([dataset.q0 + sph_to_cart(d, dataset.source_radius) for d in dirs])
+    omegas = 2.0 * math.pi * dataset.frequencies[freq_indices]
+    return PointSet(
+        np.repeat(omegas, i_n * j_d),
+        np.tile(np.repeat(dataset.mic_positions, j_d, axis=0), (len(freq_indices), 1)),
+        np.tile(src, (len(freq_indices) * i_n, 1)),
     )
-    return build_model(
-        "gp-chmat-channel",
-        kernel,
-        _points_in(doc["train"]),
-        _load_cplx(doc["train_values"]),
-        jitter=doc["jitter"],
-        predict_cap=int(doc["predict_cap"]),
-        seed=seed,
+
+
+def _pointwise(values):
+    """Predictor of a model queried at points: ``values(model, points)``."""
+
+    def at(model, dataset, dirs, freq_indices):
+        shape = (len(freq_indices), dataset.mic_positions.shape[0], len(dirs))
+        return values(model, _query_points(dataset, dirs, freq_indices)).reshape(shape)
+
+    return at
+
+
+def _per_channel(model, dataset, dirs, freq_indices):
+    """Channel i's chordal-Matern model serves mic i's points (gp-chmat, krr)."""
+    f_q, i_n, j_d = len(freq_indices), len(model.channels), len(dirs)
+    ps = _query_points(dataset, dirs, freq_indices)
+    out = np.empty((f_q, i_n, j_d), dtype=complex)
+    for i, channel in enumerate(model.channels):
+        mean, _ = predict(channel, ps.take(_channel_indices(f_q, i_n, j_d, i)), want_var=False)
+        out[:, i, :] = mean.reshape(f_q, j_d)
+    return out
+
+
+def _nn_at(model: NnModel, dataset, dirs, freq_indices):
+    units = np.array([d.unit_vector() for d in model.train_dirs])
+    q_units = np.array([d.unit_vector() for d in dirs])
+    return model.values[freq_indices][:, :, np.argmax(q_units @ units.T, axis=1)]
+
+
+def _sh_at(model: ShRidgeModel, dataset, dirs, freq_indices):
+    return np.einsum("fid,jd->fij", model.coeffs[freq_indices], sh_basis_matrix(model.order, dirs))
+
+
+def _gp_train_dirs(model) -> list:
+    uniq = np.unique(np.round(model.train.src, 12), axis=0)
+    return [cart_to_sph(row - model.kernel.q0)[0] for row in uniq]
+
+
+def _gp_mic_positions(model) -> np.ndarray:
+    if model.kernel.table is not None:
+        return model.kernel.table.mic_positions
+    return np.unique(np.round(model.train.mic, 12), axis=0)
+
+
+def _neural_field(name: str, fit) -> Method:
+    return Method(
+        name,
+        fit=fit,
+        write=_nf_model_out,
+        read=lambda doc, env: _nf_model_in(name, doc, env),
+        predict=_pointwise(lambda model, ps: model.predict_points(ps)),
+        defaults=NF_BASELINE_DEFAULTS,
     )
+
+
+METHODS = {
+    m.name: m
+    for m in (
+        Method("gp-steerer", fit=lambda train, cfg, doc: gpr.fit(train, cfg),
+               write=_gp_steerer_out, read=_gp_steerer_in,
+               predict=_pointwise(lambda model, ps: predict(model, ps, want_var=False)[0]),
+               train_dirs=_gp_train_dirs, mic_positions=_gp_mic_positions),
+        Method("gp-chmat", fit=lambda train, cfg, doc: baselines.fit_gp_chmat(train, cfg),
+               write=_chmat_out, read=_chmat_in, predict=_per_channel,
+               defaults={"iterations": 150, "pretrain_iterations": 0}, mic_order=True),
+        Method("krr", fit=lambda train, cfg, doc: baselines.fit_krr(
+                   train, lam_rel=float(doc.get("krr_lambda", 1e-3)), seed=cfg.seed),
+               write=_krr_out, read=_krr_in, predict=_per_channel, mic_order=True),
+        Method("sh", fit=lambda train, cfg, doc: baselines.fit_sh_ridge(
+                   train, order=cfg.sh_order, lam=float(doc.get("sh_lambda", 1e-5)), seed=cfg.seed),
+               write=_sh_out, read=_sh_in, predict=_sh_at, mic_order=True, freq_grid=True),
+        Method("nn", fit=lambda train, cfg, doc: baselines.fit_nn(train, seed=cfg.seed),
+               write=_nn_out, read=_nn_in, predict=_nn_at, mic_order=True, freq_grid=True),
+        _neural_field("nf", lambda train, cfg, doc: baselines.nf_direct_fit(train, cfg)),
+        _neural_field("nf-gw", lambda train, cfg, doc: baselines.nf_gw_fit(train, cfg)),
+        _neural_field("pcnn", lambda train, cfg, doc: baselines.pcnn_fit(train, cfg)),
+    )
+}
+
+
+def method_of(model) -> Method:
+    try:
+        return METHODS[model.kind]
+    except KeyError:
+        raise ValueError(f"no method is registered for model kind {model.kind!r}") from None
+
+
+def train_directions(model) -> list:
+    """Observed source directions retained by any fitted model."""
+    return method_of(model).train_dirs(model)
+
+
+def _same_rows_any_order(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether the rows of ``b`` are the rows of ``a`` in some order."""
+    close = np.all(np.isclose(a[:, None, :], b[None, :, :], atol=1e-9), axis=2)
+    free = np.ones(b.shape[0], dtype=bool)
+    for row in close:
+        hits = np.flatnonzero(row & free)
+        if hits.size == 0:
+            return False
+        free[hits[0]] = False
+    return True
+
+
+def check_compatible(model, dataset) -> None:
+    """Raise ValueError unless the model can serve the dataset: the same mic
+    rows (in the same order for channel-indexed kinds) and, for grid-bound
+    kinds, the same frequency grid."""
+    method = method_of(model)
+    mics, ds_mics = method.mic_positions(model), dataset.mic_positions
+    if method.mic_order:
+        same = mics.shape == ds_mics.shape and np.allclose(mics, ds_mics, atol=1e-9)
+    else:
+        same = mics.shape == ds_mics.shape and _same_rows_any_order(mics, ds_mics)
+    if not same:
+        order = " or in another order" if method.mic_order else ""
+        raise ValueError(
+            f"model was fitted on {mics.shape[0]} microphone(s) at different positions{order} "
+            f"than the dataset's {ds_mics.shape[0]}"
+        )
+    if method.freq_grid and (
+        dataset.frequencies.shape != model.frequencies.shape
+        or not np.allclose(dataset.frequencies, model.frequencies, rtol=0, atol=1e-9)
+    ):
+        raise ValueError("dataset frequency grid differs from the fitted model")
 
 
 def save_model(model, path: str) -> str:
     """Write the JSON envelope; returns the content digest."""
+    method = method_of(model)
     doc = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "kind": model.kind,
-        "seed": int(getattr(model, "seed", 0)),
-        "config_digest": getattr(model, "config_digest", ""),
-        "train_directions": _dirs_out(train_directions(model)),
+        "seed": int(model.seed),
+        "config_digest": model.config_digest,
+        "train_directions": _dirs_out(method.train_dirs(model)),
+        "payload": method.write(model),
     }
-    if isinstance(model, GprModel):
-        doc["payload"] = _gp_steerer_out(model)
-    elif isinstance(model, ChmatEnsemble):
-        doc["payload"] = {
-            "frequencies": _real(model.frequencies),
-            "mic_positions": _real(model.mic_positions),
-            "channels": [_chmat_channel_out(ch) for ch in model.channels],
-            "history": model.history,
-        }
-    elif isinstance(model, KrrModel):
-        doc["payload"] = {
-            "frequencies": _real(model.frequencies),
-            "mic_positions": _real(model.mic_positions),
-            "lam": float(model.lam),
-            "channels": [
-                {
-                    "scalars": {
-                        "log_alpha": float(k.log_alpha),
-                        "log_ell": float(k.log_ell),
-                        "log_ell_d": float(k.log_ell_d),
-                        "log_noise": float(k.log_noise),
-                    },
-                    "q0": _real(k.q0),
-                    "speed_of_sound": float(k.medium.speed_of_sound),
-                    "train": _points_out(tr),
-                    "alphas": _cplx(al),
-                }
-                for k, tr, al in zip(model.kernels, model.trains, model.alphas)
-            ],
-        }
-    elif isinstance(model, ShRidgeModel):
-        doc["payload"] = {
-            "frequencies": _real(model.frequencies),
-            "mic_positions": _real(model.mic_positions),
-            "order": int(model.order),
-            "lam": float(model.lam),
-            "coeffs": _cplx(model.coeffs),
-        }
-    elif isinstance(model, NnModel):
-        doc["payload"] = {
-            "frequencies": _real(model.frequencies),
-            "mic_positions": _real(model.mic_positions),
-            "values": _cplx(model.values),
-        }
-    elif isinstance(model, NfFieldModel):
-        doc["payload"] = {
-            "nf": _nf_out(model.nf),
-            "bounds": {"lo": _real(model.bounds[0]), "hi": _real(model.bounds[1])},
-            "q0": _real(model.q0),
-            "reference": _real(model.reference),
-            "order": None if model.order is None else int(model.order),
-            "speed_of_sound": float(model.medium.speed_of_sound),
-            "frequencies": _real(model.frequencies),
-            "mic_positions": _real(model.mic_positions),
-            "history": model.history,
-        }
-    else:
-        raise ValueError(f"cannot serialize model of type {type(model).__name__}")
     payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     if str(path).endswith(".gz"):
         with gzip.GzipFile(filename="", mode="wb", fileobj=open(path, "wb"), mtime=0) as fh:
@@ -313,100 +491,22 @@ def load_model(path: str):
             f"/schema_version: unsupported version {doc.get('schema_version')!r}"
         )
     kind = doc.get("kind")
-    if kind not in KNOWN_KINDS:
+    if not isinstance(kind, str) or kind not in METHODS:
         raise SchemaError(f"/kind: unknown model kind {kind!r}")
-    seed = int(doc.get("seed", 0))
-    digest = doc.get("config_digest", "")
     payload = doc.get("payload")
     if not isinstance(payload, dict):
         raise SchemaError("/payload: missing model payload")
-    train_dirs = _dirs_in(doc.get("train_directions", []))
     try:
-        if kind == "gp-steerer":
-            return _gp_steerer_in(payload, seed, digest)
-        if kind == "gp-chmat":
-            return ChmatEnsemble(
-                frequencies=_load_real(payload["frequencies"]),
-                mic_positions=_load_real(payload["mic_positions"]),
-                train_dirs=train_dirs,
-                channels=[_chmat_channel_in(ch, seed) for ch in payload["channels"]],
-                seed=seed,
-                config_digest=digest,
-                history=payload.get("history", []),
-            )
-        if kind == "krr":
-            kernels, trains, alphas = [], [], []
-            for ch in payload["channels"]:
-                kernels.append(
-                    ChmatKernelParams(
-                        log_alpha=float(ch["scalars"]["log_alpha"]),
-                        log_ell=float(ch["scalars"]["log_ell"]),
-                        log_ell_d=float(ch["scalars"]["log_ell_d"]),
-                        log_noise=float(ch["scalars"]["log_noise"]),
-                        q0=_load_real(ch["q0"]),
-                        medium=MediumParams(float(ch["speed_of_sound"])),
-                    )
-                )
-                trains.append(_points_in(ch["train"]))
-                alphas.append(_load_cplx(ch["alphas"]))
-            return KrrModel(
-                frequencies=_load_real(payload["frequencies"]),
-                mic_positions=_load_real(payload["mic_positions"]),
-                train_dirs=train_dirs,
-                kernels=kernels,
-                trains=trains,
-                alphas=alphas,
-                lam=float(payload["lam"]),
-                seed=seed,
-                config_digest=digest,
-            )
-        if kind == "sh":
-            return ShRidgeModel(
-                frequencies=_load_real(payload["frequencies"]),
-                mic_positions=_load_real(payload["mic_positions"]),
-                train_dirs=train_dirs,
-                order=int(payload["order"]),
-                lam=float(payload["lam"]),
-                coeffs=_load_cplx(payload["coeffs"]),
-                seed=seed,
-                config_digest=digest,
-            )
-        if kind == "nn":
-            return NnModel(
-                frequencies=_load_real(payload["frequencies"]),
-                mic_positions=_load_real(payload["mic_positions"]),
-                train_dirs=train_dirs,
-                values=_load_cplx(payload["values"]),
-                seed=seed,
-                config_digest=digest,
-            )
-        return NfFieldModel(
-            kind=kind,
-            nf=_nf_in(payload["nf"]),
-            bounds=(_load_real(payload["bounds"]["lo"]), _load_real(payload["bounds"]["hi"])),
-            q0=_load_real(payload["q0"]),
-            reference=_load_real(payload["reference"]),
-            order=None if payload["order"] is None else int(payload["order"]),
-            medium=MediumParams(float(payload["speed_of_sound"])),
-            frequencies=_load_real(payload["frequencies"]),
-            mic_positions=_load_real(payload["mic_positions"]),
-            train_dirs=train_dirs,
-            seed=seed,
-            config_digest=digest,
-            history=payload.get("history", []),
-        )
+        env = {
+            "train_dirs": _dirs_in(doc.get("train_directions", [])),
+            "seed": int(doc.get("seed", 0)),
+            "config_digest": doc.get("config_digest", ""),
+        }
+        return METHODS[kind].read(payload, env)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, SchemaError):
             raise
         raise SchemaError(f"/payload: malformed {kind} model ({exc})") from exc
-
-
-def predict_grid(model, dataset) -> np.ndarray:
-    """(F, I, J) predictions on the dataset's full grid, any model kind."""
-    if isinstance(model, GprModel):
-        mean, _ = predict(model, dataset.point_set(), want_var=False)
-        return mean.reshape(dataset.shape)
-    return model.predict_grid(dataset)
 
 
 def predict_directions(model, dataset, dirs, freq_indices) -> np.ndarray:
@@ -415,44 +515,13 @@ def predict_directions(model, dataset, dirs, freq_indices) -> np.ndarray:
     Grid-bound interpolators (nearest-neighbor, SH ridge) evaluate at the
     indexed dataset frequencies; continuous models evaluate the same values.
     """
+    check_compatible(model, dataset)
     freq_indices = np.asarray(freq_indices, dtype=int).reshape(-1)
-    freqs = dataset.frequencies[freq_indices]
-    mics = dataset.mic_positions
-    radius = dataset.source_radius
-    q0 = dataset.q0
-    f_q, i_n, j_d = freqs.shape[0], mics.shape[0], len(dirs)
+    return method_of(model).predict(model, dataset, list(dirs), freq_indices)
 
-    if isinstance(model, NnModel):
-        units = np.array([d.unit_vector() for d in model.train_dirs])
-        q_units = np.array([d.unit_vector() for d in dirs])
-        nearest = np.argmax(q_units @ units.T, axis=1)
-        return model.values[freq_indices][:, :, nearest]
-    if isinstance(model, ShRidgeModel):
-        from .sphharm import sh_basis_matrix
 
-        basis = sh_basis_matrix(model.order, dirs)
-        return np.einsum("fid,jd->fij", model.coeffs[freq_indices], basis)
-
-    src = np.array([q0 + sph_to_cart(d, radius) for d in dirs])
-    omegas = 2.0 * math.pi * freqs
-    om = np.repeat(omegas, i_n * j_d)
-    mic = np.tile(np.repeat(mics, j_d, axis=0), (f_q, 1))
-    srcs = np.tile(src, (f_q * i_n, 1))
-    ps = PointSet(om, mic, srcs)
-    if isinstance(model, GprModel):
-        mean, _ = predict(model, ps, want_var=False)
-        return mean.reshape(f_q, i_n, j_d)
-    if isinstance(model, (ChmatEnsemble, KrrModel)):
-        out = np.empty((f_q, i_n, j_d), dtype=complex)
-        for i in range(i_n):
-            idx = (np.arange(f_q)[:, None] * i_n + i) * j_d + np.arange(j_d)[None, :]
-            sub = ps.take(idx.reshape(-1))
-            if isinstance(model, ChmatEnsemble):
-                mean, _ = predict(model.channels[i], sub, want_var=False)
-            else:
-                mean = chmat_cross(sub, model.trains[i], model.kernels[i]) @ model.alphas[i]
-            out[:, i, :] = mean.reshape(f_q, j_d)
-        return out
-    if isinstance(model, NfFieldModel):
-        return model.predict_points(ps).reshape(f_q, i_n, j_d)
-    raise ValueError(f"cannot predict with model of type {type(model).__name__}")
+def predict_grid(model, dataset) -> np.ndarray:
+    """(F, I, J) predictions on the dataset's full grid, any model kind."""
+    return predict_directions(
+        model, dataset, dataset.source_directions, np.arange(dataset.frequencies.shape[0])
+    )

@@ -234,6 +234,27 @@ class TestExitCodes:
         assert cli.main(["boom"]) == 4
         assert "synthetic blow-up" in capsys.readouterr().err
 
+    def test_untrained_neural_field_not_saved(self, tmp_path, capsys):
+        # README scene and fit config at 60 steps: pcnn's validation loss never
+        # drops below its zero-head start, which would predict zero everywhere
+        scene = _write(
+            tmp_path / "scene.json",
+            {"kind": "sphere-scene", "n_freqs": 64, "n_mics": 4, "n_dirs": 240,
+             "f_min_hz": 125.0, "f_max_hz": 8000.0, "sphere_radius": 0.09,
+             "source_radius": 2.0, "seed": 0},
+        )
+        fit_cfg = _write(
+            tmp_path / "fit.json",
+            {"n_obs": 16, "seed": 0, "noise_var": 1e-4, "iterations": 60,
+             "pretrain_iterations": 40, "batch_size": 384, "eval_every": 30, "warmup_steps": 100},
+        )
+        ds, out = str(tmp_path / "scene.json.gz"), str(tmp_path / "model.json")
+        assert cli.main(["simulate", "--config", scene, "--out", ds]) == 0
+        rc = cli.main(["fit", "--dataset", ds, "--method", "pcnn", "--config", fit_cfg, "--out", out])
+        assert rc == 4
+        assert "no evaluation in 60 steps improved" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_missing_dataset_exits_3(self, workspace):
         rc = cli.main(["evaluate", "--model", "nope.json", "--dataset", "missing.json",
                        "--out", str(workspace["root"] / "r")])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,14 @@ from svfield.datagen import SceneConfig, add_noise, gen_sh_scene, split_observed
 from svfield.errors import SchemaError
 from svfield.geom import angular_distance
 from svfield.gpr import FitConfig, fit
-from svfield.modelio import load_model, predict_directions, predict_grid, save_model, train_directions
+from svfield.modelio import (
+    check_compatible,
+    load_model,
+    predict_directions,
+    predict_grid,
+    save_model,
+    train_directions,
+)
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +57,8 @@ def _fit(kind, train):
 
 
 ALL_KINDS = ["gp-steerer", "gp-chmat", "krr", "sh", "nn", "nf", "nf-gw", "pcnn"]
+CHANNEL_INDEXED = {"gp-chmat", "krr", "sh", "nn"}
+GRID_BOUND = {"sh", "nn"}
 
 
 class TestRoundTrip:
@@ -69,6 +80,16 @@ class TestRoundTrip:
         p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         d1 = save_model(model, p1)
         d2 = save_model(model, p2)
+        assert d1 == d2
+        with open(p1, "rb") as f1, open(p2, "rb") as f2:
+            assert f1.read() == f2.read()
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_save_load_save_byte_identical(self, kind, setup, tmp_path):
+        scene, train = setup
+        p1, p2 = str(tmp_path / "first.json"), str(tmp_path / "second.json")
+        d1 = save_model(_fit(kind, train), p1)
+        d2 = save_model(load_model(p1), p2)
         assert d1 == d2
         with open(p1, "rb") as f1, open(p2, "rb") as f2:
             assert f1.read() == f2.read()
@@ -143,3 +164,36 @@ class TestPredictDirections:
         grid = predict_grid(model, scene)
         sub = predict_directions(model, scene, scene.source_directions[:5], [0, 3])
         np.testing.assert_allclose(sub, grid[[0, 3]][:, :, :5], rtol=1e-9, atol=1e-12)
+
+
+class TestCompatibility:
+    @pytest.mark.parametrize("kind", ["nn", "nf"])
+    def test_other_mic_rows_rejected(self, kind, setup):
+        # each column holds the same values, so sorting columns one at a time cannot tell them apart
+        scene, train = setup
+        model = replace(_fit(kind, train), mic_positions=np.array([[0.0, 0, 0], [1, 1, 0]]))
+        ds = replace(scene, mic_positions=np.array([[0.0, 1, 0], [1, 0, 0]]))
+        with pytest.raises(ValueError, match="microphone"):
+            check_compatible(model, ds)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_mic_order(self, kind, setup):
+        scene, train = setup
+        model = _fit(kind, train)
+        swapped = replace(scene, mic_positions=scene.mic_positions[::-1].copy())
+        if kind in CHANNEL_INDEXED:
+            with pytest.raises(ValueError, match="order"):
+                check_compatible(model, swapped)
+        else:
+            check_compatible(model, swapped)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_frequency_grid(self, kind, setup):
+        scene, train = setup
+        model = _fit(kind, train)
+        shifted = replace(scene, frequencies=scene.frequencies * 1.01)
+        if kind in GRID_BOUND:
+            with pytest.raises(ValueError, match="frequency grid"):
+                check_compatible(model, shifted)
+        else:
+            check_compatible(model, shifted)
