@@ -12,11 +12,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NumericError
-from .geom import Direction, PointSet, validation_split
+from .geom import Direction, PointSet
 from .gpr import (
     FitConfig,
+    _gp_losses,
     _run_steps,
     _stratified_cap,
+    _train_valid_split,
     build_model,
     tree_digest,
 )
@@ -24,11 +26,8 @@ from .kernels import ChmatKernelParams, chmat_gram, source_angles
 from .nfield import (
     AdamState,
     NfParams,
-    adam_step,
-    clip_gradients,
     compute_bounds,
     init_nf_params,
-    lr_schedule,
     nf_backward,
     nf_forward,
     nf_forward_cached,
@@ -216,37 +215,21 @@ def fit_gp_chmat(dataset, cfg: FitConfig) -> ChmatEnsemble:
     y_all = dataset.values.reshape(-1)
     channels = []
     history: list = []
+    chan_cfg = replace(cfg, lr_start=0.05, lr_base=0.05, warmup_steps=0, scalar_lr_scale=1.0,
+                       lambda_l1=0.0, lambda_exp=0.0)
     for i in range(i_n):
         idx = _channel_indices(f_n, i_n, j_n, i)
-        if f_n >= 2:
-            tr_rel, va_rel = validation_split(
-                np.arange(idx.size), (f_n, 1, j_n), cfg.valid_fraction, cfg.seed + i
-            )
-        else:
-            tr_rel, va_rel = np.arange(idx.size), np.array([], dtype=int)
-        tr_idx = idx[tr_rel]
-        va_idx = idx[va_rel] if va_rel.size else None
+        tr_rel, va_rel = _train_valid_split((f_n, 1, j_n), cfg.valid_fraction, cfg.seed + i)
+        tr_idx, va_idx = idx[tr_rel], idx[va_rel]
         kern = _chmat_default_params(dataset, dataset.values[:, i, :])
         rng = np.random.default_rng(cfg.seed + i)
         tree = kern.to_tree()
-        opt = AdamState.for_params(tree)
         keep = _stratified_cap(tr_idx, (f_n, i_n, j_n), min(cfg.batch_size, cfg.predict_cap), cfg.seed + i)
+        loss_and_grad, valid_loss = _gp_losses(kern, chan_cfg, ps_all.take(keep), y_all[keep],
+                                               ps_all.take(va_idx), y_all[va_idx])
         chan_hist: list = []
-        tree, _ = _run_steps(
-            tree,
-            opt,
-            kern,
-            ps_all.take(keep),
-            y_all[keep],
-            replace(cfg, lr_start=0.05, lr_base=0.05, warmup_steps=0, scalar_lr_scale=1.0,
-                    lambda_l1=0.0, lambda_exp=0.0),
-            rng,
-            cfg.iterations,
-            0,
-            ps_all.take(va_idx) if va_idx is not None else None,
-            y_all[va_idx] if va_idx is not None else None,
-            chan_hist,
-        )
+        tree, _, _ = _run_steps(tree, AdamState.for_params(tree), chan_cfg, rng, cfg.iterations,
+                                loss_and_grad, keep.size, valid_loss, chan_hist)
         kern = kern.with_tree(tree)
         cap_keep = _stratified_cap(tr_idx, (f_n, i_n, j_n), cfg.predict_cap, cfg.seed + i)
         channels.append(
@@ -346,16 +329,11 @@ def _nf_decoder(kind: str, q0, reference, order, medium):
 
 
 def _fit_pointwise(dataset, cfg: FitConfig, kind: str, reference=None, order=None) -> NfFieldModel:
-    """Shared training loop for pointwise re/im mean-squared-error fitting."""
+    """Pointwise re/im mean-squared-error fit of a neural-field variant."""
     f_n, i_n, j_n = dataset.shape
     ps_all = dataset.point_set()
     y_all = dataset.values.reshape(-1)
-    if f_n >= 2:
-        tr_idx, va_idx = validation_split(
-            np.arange(f_n * i_n * j_n), (f_n, i_n, j_n), cfg.valid_fraction, cfg.seed
-        )
-    else:
-        tr_idx, va_idx = np.arange(f_n * i_n * j_n), np.array([], dtype=int)
+    tr_idx, va_idx = _train_valid_split(dataset.shape, cfg.valid_fraction, cfg.seed)
     bounds = compute_bounds(ps_all.as_matrix())
     q0 = dataset.q0
     reference = q0 if reference is None else np.asarray(reference, dtype=float)
@@ -366,55 +344,33 @@ def _fit_pointwise(dataset, cfg: FitConfig, kind: str, reference=None, order=Non
     nf = init_nf_params(rng, cfg.encoding_dim, cfg.hidden_widths, n_out, cfg.gains)
     prepare, value, upstream = _nf_decoder(kind, q0, reference, order, dataset.medium)
 
-    tree = nf.to_tree()
-    opt = AdamState.for_params(tree)
-    digest = tree_digest(tree)
-    history: list = []
-
-    def batch_loss(tree_now, idx):
-        params = NfParams.from_tree(tree_now)
-        sub = ps_all.take(idx)
+    def loss_and_grad(tree, idx):
+        batch = tr_idx[idx]
+        params = NfParams.from_tree(tree)
+        sub = ps_all.take(batch)
         out, cache = nf_forward_cached(params, sub.as_matrix(), bounds)
         aux = prepare(sub)
-        pred = value(sub, out, aux)
-        resid = pred - y_all[idx]
-        loss = float(np.mean(np.abs(resid) ** 2))
-        return params, sub, cache, aux, resid, loss
-
-    best_tree = {k: v.copy() for k, v in tree.items()}
-    best_val = math.inf
-    improved = False
-    track = va_idx.size > 0
-
-    def validate(tree_now):
-        cap = min(va_idx.size, 4096)
-        _, _, _, _, _, loss = batch_loss(tree_now, va_idx[:cap])
-        return loss
-
-    if track:
-        best_val = validate(tree)
-        history.append({"step": 0, "train_loss": math.nan, "valid_nll": best_val})
-    for it in range(cfg.iterations):
-        batch = rng.choice(tr_idx, size=min(cfg.batch_size, tr_idx.size), replace=False)
-        params, sub, cache, aux, resid, loss = batch_loss(tree, batch)
+        resid = value(sub, out, aux) - y_all[batch]
         grads = nf_backward(params, cache, upstream(sub, resid, aux, batch.size))
-        grads = clip_gradients(grads, cfg.grad_clip)
-        tree, opt = adam_step(opt, tree, grads, lr_schedule(it, cfg.lr_config()))
-        if (it + 1) % cfg.eval_every == 0 or it + 1 == cfg.iterations:
-            val = validate(tree) if track else math.nan
-            history.append({"step": it + 1, "train_loss": loss, "valid_nll": val})
-            if track and val < best_val:
-                best_val = val
-                best_tree = {k: v.copy() for k, v in tree.items()}
-                improved = True
-    if track:
-        if cfg.iterations > 0 and not improved:
-            # the step-0 checkpoint is the zero-head network, which predicts zero
-            raise NumericError(
-                f"{kind}: no evaluation in {cfg.iterations} steps improved on the untrained "
-                f"network's validation loss {best_val:.6g}; train longer or raise the learning rate"
-            )
-        tree = best_tree
+        return float(np.mean(np.abs(resid) ** 2)), grads
+
+    def valid_loss(tree):
+        sub = ps_all.take(va_idx)
+        pred = value(sub, nf_forward(NfParams.from_tree(tree), sub.as_matrix(), bounds), prepare(sub))
+        return float(np.mean(np.abs(pred - y_all[va_idx]) ** 2))
+
+    tree = nf.to_tree()
+    digest = tree_digest(tree)
+    history: list = []
+    track = va_idx.size > 0
+    tree, _, improved = _run_steps(tree, AdamState.for_params(tree), cfg, rng, cfg.iterations, loss_and_grad,
+                                   tr_idx.size, valid_loss if track else None, history)
+    if track and cfg.iterations > 0 and not improved:
+        # the step-0 checkpoint is the zero-head network, which predicts zero
+        raise NumericError(
+            f"{kind}: no evaluation in {cfg.iterations} steps improved on the untrained "
+            f"network's validation loss {history[0]['valid_nll']:.6g}; train longer or raise the learning rate"
+        )
 
     return NfFieldModel(
         kind=kind,

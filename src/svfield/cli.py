@@ -86,6 +86,11 @@ def cmd_fit(args) -> int:
     doc["seed"] = seed
     n_obs = args.n_obs if args.n_obs is not None else doc.get("n_obs")
     noise_var = float(doc.get("noise_var", 0.0))
+    spec = modelio.METHODS[method]
+    try:
+        cfg = spec.config(doc)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"fit config: {exc}") from exc
 
     ds = datagen.read_dataset(args.dataset)
     if args.freq_subsample is not None and args.freq_subsample > 1:
@@ -97,11 +102,6 @@ def cmd_fit(args) -> int:
     if noise_var > 0:
         train = datagen.add_noise(train, noise_var, seed=seed)
 
-    spec = modelio.METHODS[method]
-    try:
-        cfg = spec.config(doc)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"fit config: {exc}") from exc
     model = spec.fit(train, cfg, doc)
 
     digest = modelio.save_model(model, args.out)
@@ -200,10 +200,16 @@ def _parse_look(doc) -> list:
     return out
 
 
+BEAMPATTERN_KEYS = ("look_directions", "freqs_hz", "n_phi", "n_theta", "scan_azimuths", "loading")
+
+
 def cmd_beampattern(args) -> int:
+    doc = _load_json(args.config, "beampattern config") if args.config else {}
+    unknown = sorted(set(doc) - set(BEAMPATTERN_KEYS))
+    if unknown:
+        raise SchemaError(f"beampattern config: unknown key(s) {', '.join(map(repr, unknown))}")
     ds = datagen.read_dataset(args.dataset)
     model = modelio.load_model(args.model)
-    doc = _load_json(args.config, "beampattern config") if args.config else {}
     looks = _parse_look(doc)
     freqs_hz = [float(f) for f in doc.get("freqs_hz", [2000.0])]
     n_phi = int(doc.get("n_phi", 36))

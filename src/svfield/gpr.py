@@ -79,6 +79,10 @@ class FitConfig:
             raise ValueError("counts must be non-negative (batch size positive)")
         if self.lambda_l1 < 0 or self.lambda_exp < 0:
             raise ValueError("regularizer weights must be non-negative")
+        if self.eval_every < 1:
+            raise ValueError(f"eval_every must be at least 1, got {self.eval_every!r}")
+        if self.grad_clip <= 0:
+            raise ValueError(f"grad_clip must be positive, got {self.grad_clip!r}")
 
     @staticmethod
     def nf_baseline_defaults(**overrides) -> "FitConfig":
@@ -105,6 +109,8 @@ NF_BASELINE_DEFAULTS = dict(
 )
 
 SCALAR_KEYS = ("log_alpha", "log_ell", "log_ell_d", "log_noise")
+# validation points scored per evaluation, drawn across every retained frequency
+VALID_CAP = 2048
 
 
 def tree_digest(tree) -> str:
@@ -461,21 +467,10 @@ def fit(dataset, cfg: FitConfig) -> GprModel:
     clipping, Adam and the warmup/decay schedule, checkpointing on held-out
     validation NLL. Deterministic given cfg.seed.
     """
-    f_n = dataset.frequencies.shape[0]
-    i_n = dataset.mic_positions.shape[0]
     j_n = len(dataset.source_directions)
-    n_all = f_n * i_n * j_n
     ps_all = dataset.point_set()
     y_all = dataset.values.reshape(-1)
-
-    if f_n >= 2:
-        tr_idx, va_idx = validation_split(
-            np.arange(n_all), (f_n, i_n, j_n), cfg.valid_fraction, cfg.seed
-        )
-    else:
-        tr_idx, va_idx = np.arange(n_all), np.array([], dtype=int)
-    if tr_idx.size == 0:
-        raise ValueError("validation split left no training points")
+    tr_idx, va_idx = _train_valid_split(dataset.shape, cfg.valid_fraction, cfg.seed)
 
     bounds = compute_bounds(ps_all.as_matrix())
     order = cfg.sh_order if cfg.sh_order is not None else max(0, int(math.floor(math.sqrt(j_n) - 1)))
@@ -514,31 +509,18 @@ def fit(dataset, cfg: FitConfig) -> GprModel:
             np.concatenate([ps_tr.mic, aug_ps.mic]),
             np.concatenate([ps_tr.src, aug_ps.src]),
         )
-        pool_y = np.concatenate([y_tr, aug_y])
-        tree, opt = _run_steps(
-            tree, opt, params, pool_ps, pool_y, cfg, rng, cfg.pretrain_iterations, 0,
-            None, None, None,
-        )
+        loss_and_grad, _ = _gp_losses(params, cfg, pool_ps, np.concatenate([y_tr, aug_y]))
+        tree, opt, _ = _run_steps(tree, opt, cfg, rng, cfg.pretrain_iterations, loss_and_grad, len(pool_ps))
 
-    ps_va = ps_all.take(va_idx) if va_idx.size else None
-    y_va = y_all[va_idx] if va_idx.size else None
-    tree, opt = _run_steps(
-        tree,
-        opt,
-        params,
-        ps_tr,
-        y_tr,
-        cfg,
-        rng,
-        cfg.iterations,
-        cfg.pretrain_iterations,
-        ps_va,
-        y_va,
-        history,
+    # step 0 is the SH-table start, a real model, so it stays a valid checkpoint
+    loss_and_grad, valid_loss = _gp_losses(params, cfg, ps_tr, y_tr, ps_all.take(va_idx), y_all[va_idx])
+    tree, _, _ = _run_steps(
+        tree, opt, cfg, rng, cfg.iterations, loss_and_grad, len(ps_tr), valid_loss, history,
+        step_offset=cfg.pretrain_iterations,
     )
 
     params = params.with_tree(tree)
-    keep = _stratified_cap(tr_idx, (f_n, i_n, j_n), cfg.predict_cap, cfg.seed)
+    keep = _stratified_cap(tr_idx, dataset.shape, cfg.predict_cap, cfg.seed)
     model = build_model(
         "gp-steerer",
         params,
@@ -573,73 +555,85 @@ def _augmented_points(dataset, aug_dirs, aug_values):
     )
 
 
-def _run_steps(
-    tree, opt, params_proto, pool_ps, pool_y, cfg, rng, n_steps, step_offset, ps_va, y_va, history,
-    frozen_keys=(),
-):
-    """Shared minibatch loop; checkpoints on validation NLL when given.
+def _train_valid_split(shape, fraction: float, seed: int):
+    """Training and validation indices of an F x I x J grid.
 
-    ``frozen_keys`` are zeroed in the gradient so a caller can hold a
-    parameter group fixed while others train.
+    The split is ``geom.validation_split``'s; below two frequencies every
+    point trains and there is no validation set. The validation set is cut
+    to ``VALID_CAP`` points stratified by frequency.
     """
-    best_tree = {k: v.copy() for k, v in tree.items()}
-    best_val = math.inf
-    track = ps_va is not None and len(ps_va) > 0
+    n_all = shape[0] * shape[1] * shape[2]
+    if shape[0] >= 2:
+        tr_idx, va_idx = validation_split(np.arange(n_all), shape, fraction, seed)
+    else:
+        tr_idx, va_idx = np.arange(n_all), np.array([], dtype=int)
+    if tr_idx.size == 0:
+        raise ValueError("validation split left no training points")
+    return tr_idx, _stratified_cap(va_idx, shape, VALID_CAP, seed)
 
-    def validate(current_tree):
-        p = params_proto.with_tree(current_tree)
-        cap = min(len(ps_va), 2048)
-        return nll(y_va[:cap], ps_va.take(np.arange(cap)), p, jitter=cfg.jitter)
 
-    if track:
-        best_val = validate(tree)
+def _gp_losses(params_proto, cfg: FitConfig, pool_ps: PointSet, pool_y, va_ps=None, va_y=None):
+    """``_run_steps`` losses of a GP: the penalized NLL of a pool minibatch
+    with its gradients, and the NLL of the validation set (None when there
+    is no validation point)."""
+
+    def loss_and_grad(tree, idx):
+        params = params_proto.with_tree(tree)
+        return nll_grad(pool_y[idx], pool_ps.take(idx), params, cfg.lambda_l1, cfg.lambda_exp, jitter=cfg.jitter)
+
+    def valid_loss(tree):
+        return nll(va_y, va_ps, params_proto.with_tree(tree), jitter=cfg.jitter)
+
+    return loss_and_grad, (valid_loss if va_y is not None and len(va_y) else None)
+
+
+def _run_steps(tree, opt, cfg: FitConfig, rng, n_steps, loss_and_grad, n_pool, valid_loss=None, history=None,
+               step_offset=0):
+    """The minibatch training loop of every trained method.
+
+    Each step draws ``min(cfg.batch_size, n_pool)`` distinct pool indices,
+    takes ``(loss, grads) = loss_and_grad(tree, indices)``, clips the
+    gradients to ``cfg.grad_clip`` and steps Adam at the scheduled rate
+    (``cfg.scalar_lr_scale`` times it for ``SCALAR_KEYS``). Every
+    ``cfg.eval_every`` steps and at the last one, the step's loss and
+    ``valid_loss(tree)`` (NaN without one) are appended to ``history``.
+    With ``valid_loss`` the tree is also scored at step 0, and the
+    best-scoring tree is returned; without, the last tree. Returns
+    (tree, opt, improved), where ``improved`` says whether an evaluation
+    scored below step 0.
+    """
+    best_tree, best_val, improved = tree, math.inf, False
+    if valid_loss is not None:
+        best_val = valid_loss(tree)
         if history is not None:
             history.append({"step": step_offset, "train_loss": math.nan, "valid_nll": best_val})
-
-    n_pool = len(pool_ps)
     for it in range(n_steps):
         step = step_offset + it
-        batch_n = min(cfg.batch_size, n_pool)
-        batch = rng.choice(n_pool, size=batch_n, replace=False)
-        params = params_proto.with_tree(tree)
+        idx = rng.choice(n_pool, size=min(cfg.batch_size, n_pool), replace=False)
         try:
-            loss, grads = nll_grad(
-                pool_y[batch],
-                pool_ps.take(batch),
-                params,
-                cfg.lambda_l1,
-                cfg.lambda_exp,
-                jitter=cfg.jitter,
-            )
+            loss, grads = loss_and_grad(tree, idx)
         except NumericError as exc:
             raise NumericError(
                 f"training step {step} failed: {exc}; parameter digest {tree_digest(tree)}"
             ) from exc
-        for key in frozen_keys:
-            if key in grads:
-                grads[key] = np.zeros_like(grads[key])
+        # rebinding frees the unclipped gradients, allocated among the loss's large
+        # temporaries; alive through the next step they keep the heap from being trimmed
         grads = clip_gradients(grads, cfg.grad_clip)
         lr = lr_schedule(step, cfg.lr_config())
-        rates = {"default": lr}
-        for key in SCALAR_KEYS:
-            if key in tree:
-                rates[key] = lr * cfg.scalar_lr_scale
+        rates = {"default": lr, **{k: lr * cfg.scalar_lr_scale for k in SCALAR_KEYS if k in tree}}
         tree, opt = adam_step(opt, tree, grads, rates)
-        if track and ((it + 1) % cfg.eval_every == 0 or it + 1 == n_steps):
-            val = validate(tree)
+        if (it + 1) % cfg.eval_every == 0 or it + 1 == n_steps:
+            val = math.nan if valid_loss is None else valid_loss(tree)
             if history is not None:
                 history.append({"step": step + 1, "train_loss": loss, "valid_nll": val})
             if val < best_val:
-                best_val = val
-                best_tree = {k: v.copy() for k, v in tree.items()}
-
-    if track:
-        return best_tree, opt
-    return tree, opt
+                best_tree, best_val, improved = tree, val, True
+    return (tree if valid_loss is None else best_tree), opt, improved
 
 
 def _stratified_cap(indices, shape, cap: int, seed: int) -> np.ndarray:
-    """Frequency-stratified subset when the training set exceeds the cap."""
+    """At most ``cap`` of the indices, drawn evenly across their frequencies;
+    the indices unchanged at or below the cap."""
     indices = np.asarray(indices, dtype=int)
     if indices.size <= cap:
         return indices

@@ -34,6 +34,8 @@ from .sphharm import sh_basis_matrix
 MODEL_SCHEMA_VERSION = 1
 
 FIT_KEYS = frozenset(f.name for f in fields(FitConfig))
+# a fit config document holds FitConfig fields and these, read by cli.cmd_fit and the registry
+CONFIG_KEYS = FIT_KEYS | {"n_obs", "noise_var", "seed", "krr_lambda", "sh_lambda"}
 STEERER_SCALARS = ("log_alpha", "log_ell", "log_noise")
 
 
@@ -54,6 +56,9 @@ class Method:
 
     def config(self, doc: dict) -> FitConfig:
         """The FitConfig a config document asks for, over this method's defaults."""
+        unknown = sorted(set(doc) - CONFIG_KEYS)
+        if unknown:
+            raise SchemaError(f"unknown key(s) {', '.join(map(repr, unknown))}")
         opts = {k: v for k, v in doc.items() if k in FIT_KEYS}
         for key in ("hidden_widths", "gains"):
             if key in opts:

@@ -255,6 +255,37 @@ class TestExitCodes:
         assert "no evaluation in 60 steps improved" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_unknown_fit_config_key_exits_3(self, workspace, capsys):
+        # a misspelt key was dropped before, so the fit silently used the default
+        cfg = _write(workspace["root"] / "fit_typo.json", {"n_obs": 8, "iteration": 2})
+        out = str(workspace["root"] / "m_typo.json")
+        rc = cli.main(["fit", "--dataset", workspace["dataset"], "--method", "nn",
+                       "--config", cfg, "--out", out])
+        assert rc == 3
+        assert "'iteration'" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_unknown_beampattern_config_key_exits_3(self, workspace, capsys):
+        model = str(workspace["root"] / "m_bp_typo.json")
+        assert cli.main(["fit", "--dataset", workspace["dataset"], "--method", "nn",
+                         "--config", workspace["fit_cfg"], "--out", model]) == 0
+        cfg = _write(workspace["root"] / "bp_typo.json", {"freq_hz": [1000.0]})
+        out = workspace["root"] / "bp_typo"
+        rc = cli.main(["beampattern", "--model", model, "--dataset", workspace["dataset"],
+                       "--config", cfg, "--out", str(out)])
+        assert rc == 3
+        assert "'freq_hz'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [("eval_every", 0), ("grad_clip", 0.0)])
+    def test_invalid_loop_setting_exits_3(self, workspace, key, value):
+        cfg = _write(workspace["root"] / f"fit_{key}.json", {"n_obs": 8, "iterations": 4, key: value})
+        out = str(workspace["root"] / f"m_{key}.json")
+        rc = cli.main(["fit", "--dataset", workspace["dataset"], "--method", "pcnn",
+                       "--config", cfg, "--out", out])
+        assert rc == 3
+        assert not os.path.exists(out)
+
     def test_missing_dataset_exits_3(self, workspace):
         rc = cli.main(["evaluate", "--model", "nope.json", "--dataset", "missing.json",
                        "--out", str(workspace["root"] / "r")])

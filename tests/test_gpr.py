@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_composite_params, random_points
+from svfield import baselines, gpr
 from svfield.datagen import SceneConfig, add_noise, gen_sh_scene, split_observed
 from svfield.errors import CapacityError
 from svfield.geom import CollocationPoint, PointSet
@@ -273,12 +275,91 @@ class TestFit:
         ref = nll(y_va, ps_va, replace(oracle, bounds=model.kernel.bounds))
         assert got <= ref + 0.05 * abs(ref)
 
+    def test_validation_scores_every_retained_frequency(self, monkeypatch):
+        # 2,400 validation points, above the cap; their indices are sorted by frequency
+        scene = gen_sh_scene(
+            SceneConfig(n_freqs=32, n_mics=2, n_dirs=600, f_min_hz=500, f_max_hz=2000, order=1, seed=0)
+        )
+        scored = []
+        real_nll = gpr.nll
+
+        def recording(y, ps, params, jitter=None):
+            scored.append(ps.omega)
+            return real_nll(y, ps, params, jitter)
+
+        monkeypatch.setattr(gpr, "nll", recording)
+        cfg = FitConfig(iterations=0, pretrain_iterations=0, predict_cap=64, encoding_dim=4,
+                        hidden_widths=(4,), seed=0)
+        fit(scene, cfg)
+        assert len(scored) == 1 and scored[0].size == 2048
+        retained = 2.0 * math.pi * scene.frequencies[::2]
+        np.testing.assert_array_equal(np.unique(scored[0]), retained)
+
     def test_capacity_cap_respected(self):
         scene, train, _ = _tiny_scene()
         cfg = FitConfig(iterations=0, pretrain_iterations=0, batch_size=32, predict_cap=16,
                         encoding_dim=4, hidden_widths=(4,), seed=0)
         model = fit(train, cfg)
         assert len(model.train) <= 16
+
+
+def _scored_trees(monkeypatch, module) -> list:
+    """Digest of every tree ``module``'s training loop scores on validation, in order."""
+    seen = []
+    real = gpr._run_steps
+
+    def recording(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        valid_loss = bound.arguments.get("valid_loss")
+        if valid_loss is not None:
+            def scored(tree):
+                seen.append(tree_digest(tree))
+                return valid_loss(tree)
+
+            bound.arguments["valid_loss"] = scored
+        return real(*bound.args, **bound.kwargs)
+
+    monkeypatch.setattr(module, "_run_steps", recording)
+    return seen
+
+
+class TestCheckpoint:
+    def _assert_best_saved(self, history, seen, saved_digest):
+        vals = [rec["valid_nll"] for rec in history]
+        assert len(vals) == len(seen)
+        best = int(np.argmin(vals))
+        assert 0 < best < len(vals) - 1  # neither the start nor the last step
+        assert saved_digest == seen[best]
+
+    def test_gp_keeps_lowest_validation_nll(self, monkeypatch):
+        seen = _scored_trees(monkeypatch, gpr)
+        _, train, _ = _tiny_scene(n_freqs=16)  # 16 validation points
+        cfg = FitConfig(iterations=40, pretrain_iterations=0, batch_size=64, eval_every=5, encoding_dim=8,
+                        hidden_widths=(8,), seed=0, warmup_steps=0, lr_base=1e-3)
+        model = fit(train, cfg)
+        self._assert_best_saved(model.history, seen, tree_digest(model.kernel.to_tree()))
+
+    def test_neural_field_keeps_lowest_validation_loss(self, monkeypatch):
+        seen = _scored_trees(monkeypatch, baselines)
+        _, train, _ = _tiny_scene(n_freqs=16)
+        cfg = FitConfig.nf_baseline_defaults(iterations=100, batch_size=64, eval_every=10, encoding_dim=8,
+                                             hidden_widths=(8,), gains=(1.0,) * 7, seed=0, warmup_steps=0,
+                                             lr_base=3e-2)
+        model = baselines.pcnn_fit(train, cfg)
+        self._assert_best_saved(model.history, seen, tree_digest(model.nf.to_tree()))
+
+    def test_gp_without_improvement_keeps_step_zero(self, monkeypatch):
+        # a rate this large moves the parameters but never lowers the validation NLL
+        seen = _scored_trees(monkeypatch, gpr)
+        _, train, _ = _tiny_scene(n_freqs=16)
+        cfg = FitConfig(iterations=40, pretrain_iterations=0, batch_size=64, eval_every=5, encoding_dim=8,
+                        hidden_widths=(8,), seed=0, warmup_steps=0, lr_base=0.1)
+        model = fit(train, cfg)
+        vals = [rec["valid_nll"] for rec in model.history]
+        assert min(vals[1:]) > vals[0]
+        assert len(set(seen)) == len(seen)  # every evaluation scored other parameters
+        # without pretraining, step 0 is the initial tree, whose digest is config_digest
+        assert tree_digest(model.kernel.to_tree()) == seen[0] == model.config_digest
 
 
 class TestPredict:
